@@ -9,15 +9,29 @@
 //! current / baseline (machine-dependent — compare trends, not
 //! absolutes, across hosts).
 //!
+//! The `cpu_model` row is a same-process comparison instead: the core
+//! model (`pmp_sim::cpu::Cpu`) and its instruction-at-a-time reference
+//! (`crates/sim/src/cpu_ref.rs`, included below) replay one fixed
+//! op/latency stream back to back, and the row reports both ns per
+//! instruction and their ratio (its `ops_per_sec` counts instructions).
+//! Report-only, like `core_kernels`.
+//!
 //! Usage: `cargo run --release --bin sim_throughput [-- OUT.json]`
 //! (default output path: `results/BENCH_sim.json`).
 
 use pmp_bench::microbench::{bench_function, black_box};
 use pmp_prefetch::{NextLine, NoPrefetch, PrefetchRequest};
 use pmp_sim::hierarchy::{demand_access, prefetch_access, CoreMem, MemEvents, SharedMem};
-use pmp_sim::{NullTracer, SimStats, System, SystemConfig};
-use pmp_types::{Addr, CacheLevel, LineAddr, MemAccess, Pc, TraceOp};
+use pmp_sim::cpu::Cpu;
+use pmp_sim::{CoreConfig, NullTracer, SimStats, System, SystemConfig};
+use pmp_types::{Addr, CacheLevel, LineAddr, MemAccess, Pc, Rng64, TraceOp};
 use std::fmt::Write as _;
+
+/// The instruction-at-a-time core model the differential tests check
+/// `Cpu` against (it names `crate::CoreConfig`, imported above).
+#[allow(dead_code)]
+#[path = "../../../sim/src/cpu_ref.rs"]
+mod cpu_ref;
 
 /// Pre-PR baselines (ns/iter on the reference machine, commit 70aaa43)
 /// for each workload, in `workloads()` order. The acceptance target for
@@ -153,8 +167,99 @@ fn system_nextline() -> Workload {
     Workload { name: "system_nextline", ns_per_op: m.ns_per_iter / 20_000.0 }
 }
 
+/// One memory op of the `cpu_model` stream with its resolved latency.
+struct CpuOp {
+    nonmem_before: u64,
+    is_load: bool,
+    dep: bool,
+    latency: u64,
+}
+
+/// A fixed op/latency stream shaped like the Small traces: ~18
+/// non-memory instructions per memory op, 70% loads (10% dependent),
+/// and a latency mix of L1 hits, L2/LLC hits and DRAM misses.
+fn cpu_stream(n: usize) -> Vec<CpuOp> {
+    let mut rng = Rng64::seed_from_u64(0xC0DE);
+    (0..n)
+        .map(|_| {
+            let is_load = rng.gen_bool(0.7);
+            let latency = match rng.gen_range(0..100u32) {
+                0..=69 => 5,
+                70..=84 => 15,
+                85..=92 => 40,
+                _ => rng.gen_range(200..=300u64),
+            };
+            CpuOp {
+                nonmem_before: rng.gen_range(0..=36u64),
+                is_load,
+                dep: is_load && rng.gen_bool(0.1),
+                latency,
+            }
+        })
+        .collect()
+}
+
+/// Replay `ops` through one core model; returns the drain cycle.
+macro_rules! replay_cpu {
+    ($cpu:expr, $ops:expr, |$c:ident, $n:ident| $nonmem:expr) => {{
+        let mut $c = $cpu;
+        for op in $ops {
+            let $n = op.nonmem_before;
+            $nonmem;
+            let issue = $c.begin_mem_op(op.is_load, op.dep);
+            if op.is_load {
+                $c.dispatch_load(issue, op.latency);
+            } else {
+                $c.dispatch_store(issue, op.latency);
+            }
+        }
+        $c.drain()
+    }};
+}
+
+/// The `cpu_model` row: ns per instruction of `Cpu` and of the
+/// reference on the same stream, measured in alternating rounds.
+struct CpuModel {
+    ns_per_instr: f64,
+    ref_ns_per_instr: f64,
+    /// Median over rounds of reference / `Cpu` time: each round's two
+    /// measurements run back to back, so host drift cancels.
+    speedup: f64,
+}
+
+fn cpu_model() -> CpuModel {
+    const ROUNDS: usize = 7;
+    let cfg = CoreConfig::default();
+    let ops = cpu_stream(20_000);
+    let instrs: u64 = ops.iter().map(|op| op.nonmem_before + 1).sum();
+    let fast = || replay_cpu!(Cpu::new(&cfg), &ops, |c, n| c.dispatch_nonmem_n(n));
+    let slow = || {
+        replay_cpu!(cpu_ref::Cpu::new(&cfg), &ops, |c, n| for _ in 0..n {
+            c.dispatch_nonmem()
+        })
+    };
+    assert_eq!(fast(), slow(), "Cpu and its reference disagree on the cpu_model stream");
+    let (mut new_ns, mut ref_ns, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        let m = bench_function("sim_throughput/cpu_model", |b| b.iter(|| black_box(fast())));
+        new_ns.push(m.ns_per_iter / instrs as f64);
+        let m = bench_function("sim_throughput/cpu_model_ref", |b| b.iter(|| black_box(slow())));
+        ref_ns.push(m.ns_per_iter / instrs as f64);
+        ratios.push(ref_ns[ref_ns.len() - 1] / new_ns[new_ns.len() - 1]);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    CpuModel {
+        ns_per_instr: median(new_ns),
+        ref_ns_per_instr: median(ref_ns),
+        speedup: median(ratios),
+    }
+}
+
 /// Serialize the measurements as the `BENCH_sim.json` document.
-fn to_json(workloads: &[Workload]) -> String {
+fn to_json(workloads: &[Workload], cpu: &CpuModel) -> String {
     let mut out = String::from("{\n  \"bench\": \"sim_throughput\",\n  \"unit\": \"ops_per_sec\",\n  \"workloads\": [\n");
     let mut min_speedup = f64::INFINITY;
     for (i, w) in workloads.iter().enumerate() {
@@ -167,16 +272,27 @@ fn to_json(workloads: &[Workload]) -> String {
             out,
             "    {{\"name\": \"{}\", \"ns_per_op\": {:.1}, \"ops_per_sec\": {:.0}, \
              \"baseline_ns_per_op\": {:.1}, \"baseline_ops_per_sec\": {:.0}, \
-             \"speedup\": {:.3}}}{}",
+             \"speedup\": {:.3}}},",
             w.name,
             w.ns_per_op,
             ops,
             base_ns,
             base_ops,
             speedup,
-            if i + 1 < workloads.len() { "," } else { "" },
         );
     }
+    // Not in `min_speedup`: its ratio is against the in-process
+    // reference, not the recorded pre-rework baseline.
+    let _ = writeln!(
+        out,
+        "    {{\"name\": \"cpu_model\", \"ns_per_instr\": {:.2}, \"ops_per_sec\": {:.0}, \
+         \"ref_ns_per_instr\": {:.2}, \"ref_ops_per_sec\": {:.0}, \"speedup\": {:.3}}}",
+        cpu.ns_per_instr,
+        1e9 / cpu.ns_per_instr,
+        cpu.ref_ns_per_instr,
+        1e9 / cpu.ref_ns_per_instr,
+        cpu.speedup,
+    );
     let _ = write!(out, "  ],\n  \"min_speedup\": {min_speedup:.3}\n}}\n");
     out
 }
@@ -186,7 +302,8 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_sim.json".to_string());
     let workloads = [demand_walk(), prefetch_walk(), system_stream(), system_nextline()];
-    let json = to_json(&workloads);
+    let cpu = cpu_model();
+    let json = to_json(&workloads, &cpu);
     for (i, w) in workloads.iter().enumerate() {
         println!(
             "{:<18} {:>9.1} ns/op  {:>12.0} ops/s  speedup vs pre-PR: {:.2}x",
@@ -196,6 +313,13 @@ fn main() {
             BASELINE_NS_PER_OP[i] / w.ns_per_op,
         );
     }
+    println!(
+        "{:<18} {:>9.2} ns/instr  reference {:.2} ns/instr  speedup vs reference: {:.2}x",
+        "cpu_model",
+        cpu.ns_per_instr,
+        cpu.ref_ns_per_instr,
+        cpu.speedup,
+    );
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         if !dir.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(dir);

@@ -93,6 +93,33 @@ pub struct CoreConfig {
     pub sq_entries: usize,
 }
 
+impl CoreConfig {
+    /// Every width and queue size must be non-zero: a zero-entry LQ or
+    /// SQ would stall the core forever inside a single op.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarnessError::InvalidConfig`] naming the first zero
+    /// field.
+    pub fn validate(&self) -> Result<(), HarnessError> {
+        let nonzero: [(&str, usize); 4] = [
+            ("width", self.width),
+            ("rob_entries", self.rob_entries),
+            ("lq_entries", self.lq_entries),
+            ("sq_entries", self.sq_entries),
+        ];
+        for (field, value) in nonzero {
+            if value == 0 {
+                return Err(HarnessError::invalid(
+                    format!("SystemConfig.core.{field}"),
+                    "must be non-zero",
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Default for CoreConfig {
     /// Table IV: 4-wide, 352-entry ROB, 128-entry LQ, 72-entry SQ.
     fn default() -> Self {
@@ -201,20 +228,7 @@ impl SystemConfig {
                 "inclusive hierarchy: LLC must be at least as large as L2C",
             ));
         }
-        let core_nonzero: [(&str, usize); 4] = [
-            ("width", self.core.width),
-            ("rob_entries", self.core.rob_entries),
-            ("lq_entries", self.core.lq_entries),
-            ("sq_entries", self.core.sq_entries),
-        ];
-        for (field, value) in core_nonzero {
-            if value == 0 {
-                return Err(HarnessError::invalid(
-                    format!("SystemConfig.core.{field}"),
-                    "must be non-zero",
-                ));
-            }
-        }
+        self.core.validate()?;
         if self.dram.mts == 0 || self.dram.channels == 0 || self.dram.core_hz == 0 {
             return Err(HarnessError::invalid(
                 "SystemConfig.dram",
